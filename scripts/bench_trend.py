@@ -7,7 +7,10 @@ Compares the current BENCH_*.json artifacts (written by
 run's copies restored from the actions/cache baseline (keyed on main)
 and fails when any workload regressed:
 
-  * wall-clock grew by more than --max-regress (sub-floor rows are
+  * wall-clock grew by more than --max-regress — update_seconds when
+    both sides carry it (bench_scaling's batched rows split the timed
+    updates from the validate() checkpoint), wall_seconds otherwise
+    (sub-floor rows are
     ignored: CI runners are noisy and a 25% swing on a 20 ms row is
     weather, not a regression — unless the row grew PAST the floor;
     rows whose "cores" field differs between baseline and current are
@@ -266,8 +269,14 @@ def main(argv=None):
             # tiny, so a row that grew from sub-floor to large is still
             # gated).  Rows that carry a core count are only compared
             # when it matches: wall-clock measured on different hardware
-            # says nothing about the code.
-            bw, cw = brow.get("wall_seconds"), crow.get("wall_seconds")
+            # says nothing about the code.  When both sides split out the
+            # update-only time (update_seconds, without the row's
+            # validate() checkpoint), that is the number gated.
+            wall_key = ("update_seconds"
+                        if brow.get("update_seconds") is not None and
+                        crow.get("update_seconds") is not None
+                        else "wall_seconds")
+            bw, cw = brow.get(wall_key), crow.get(wall_key)
             bcores, ccores = brow.get("cores"), crow.get("cores")
             wall_note = "-"
             if (bcores is not None and ccores is not None and
@@ -283,7 +292,7 @@ def main(argv=None):
                         row_bad.append("wall-clock")
                         regressions.append(
                             (name, label, "wall-clock",
-                             f"{bw:.3f}s -> {cw:.3f}s"))
+                             f"{wall_key} {bw:.3f}s -> {cw:.3f}s"))
                 else:
                     wall_note = f"{bw:.2f}s -> {cw:.2f}s (sub-floor)"
 

@@ -105,6 +105,27 @@ class BenchTrendTest(unittest.TestCase):
         self.write(self.current, [make_row("w", wall=1.0)])
         self.assertEqual(self.gate(), 1)
 
+    def test_update_seconds_gated_instead_of_wall_when_both_have_it(self):
+        # The update-only time regressed while validate() got faster,
+        # so the total wall_seconds is flat: the update split must fail.
+        base = make_row("w", wall=2.0)
+        base.update(update_seconds=1.0, validate_seconds=1.0)
+        cur = make_row("w", wall=2.0)
+        cur.update(update_seconds=1.6, validate_seconds=0.4)
+        self.write(self.baseline, [base], bench="scaling")
+        self.write(self.current, [cur], bench="scaling")
+        self.assertEqual(self.gate(), 1)
+        # The converse: a slower validate() alone is not an update
+        # regression, even though wall_seconds grew past the bound.
+        cur.update(wall_seconds=3.0, update_seconds=1.0,
+                   validate_seconds=2.0)
+        self.write(self.current, [cur], bench="scaling")
+        self.assertEqual(self.gate(), 0)
+        # A baseline without the split falls back to wall_seconds.
+        self.write(self.baseline, [make_row("w", wall=2.0)],
+                   bench="scaling")
+        self.assertEqual(self.gate(), 1)
+
     def test_rounds_per_update_regression_fails(self):
         # The ISSUE acceptance case: a synthetic rounds/update regression
         # must fail the job even with identical wall-clock.

@@ -101,10 +101,12 @@ DynamicForest::DynamicForest(const DynForestConfig& config)
   cluster_ = std::make_unique<dmpc::Cluster>(mu, S);
   machines_.resize(mu);
   // Vertex records: comp(v) = v, no tour index yet.
+  for (MachineId m = 0; m < mu; ++m) {
+    VertexStore& vs = machines_[m].vertices;
+    vs.init(m, mu, config_.n);
+    cluster_->memory(m).charge(kVertexRecWords * vs.size());
+  }
   for (VertexId v = 0; v < static_cast<VertexId>(config_.n); ++v) {
-    MachineState& ms = machines_[vertex_machine(v)];
-    ms.vertices[v] = VertexRec{v, etour::kNoIndex};
-    cluster_->memory(vertex_machine(v)).charge(kVertexRecWords);
     machines_[dir_machine(v)].comp_sizes[v] = 1;
     cluster_->memory(dir_machine(v)).charge(kDirRecWords);
   }
@@ -170,7 +172,7 @@ void DynamicForest::journal_rollback() {
     }
     for (auto it = ms.journal.vertices.rbegin();
          it != ms.journal.vertices.rend(); ++it) {
-      ms.vertices[it->v] = it->rec;
+      ms.vertices.set(it->slot, it->rec);
     }
     for (auto it = ms.journal.dirs.rbegin(); it != ms.journal.dirs.rend();
          ++it) {
@@ -277,12 +279,18 @@ void DynamicForest::preprocess(const graph::WeightedEdgeList& edges) {
   }
 
   // Distribute the records (memory-charged), replacing the initial
-  // singleton directory.
+  // singleton directory.  Each machine rewrites its own vertex records,
+  // relinking them into their components' buckets, so that pass runs on
+  // the executor.
+  exec().run(machines_.size(), [&](std::size_t m) {
+    VertexStore& vs = machines_[m].vertices;
+    for (VertexStore::Slot s = 0; s < vs.size(); ++s) {
+      const auto sv = static_cast<std::size_t>(vs.vertex_at(s));
+      vs.set(s, VertexRec{comp_of[sv], first_idx[sv]});
+    }
+  });
   for (VertexId v = 0; v < static_cast<VertexId>(config_.n); ++v) {
     const std::size_t sv = static_cast<std::size_t>(v);
-    VertexRec& rec = machines_[vertex_machine(v)].vertices[v];
-    rec.comp = comp_of[sv];
-    rec.cached_idx = first_idx[sv];
     auto& dir = machines_[dir_machine(v)].comp_sizes;
     if (comp_of[sv] != v) {
       dir.erase(v);
@@ -333,7 +341,7 @@ void DynamicForest::preprocess(const graph::WeightedEdgeList& edges) {
   const std::uint64_t rounds = static_cast<std::uint64_t>(
       std::ceil(std::log2(std::max<std::size_t>(config_.n, 2))));
   const dmpc::WordCount words =
-      kEdgeRecWords * edges.size() + kVertexRecWords * config_.n;
+      kEdgeWireWords * edges.size() + kVertexWireWords * config_.n;
   for (std::uint64_t r = 0; r < rounds; ++r) {
     dmpc::RoundRecord rec;
     rec.active_machines = machines_.size();
@@ -478,15 +486,18 @@ void DynamicForest::apply_merge_local(MachineState& ms, const MergeBcast& mb) {
   auto tx_xform = [&](Word i) {
     return i == etour::kNoIndex ? i : etour::merge_shift_tx(i, mp);
   };
+  // The x side cx first, then cy, whose records relabel into cx — the cx
+  // walk is already done, so nothing is rewritten twice.
   EdgeShard& es = ms.edges;
-  for (std::size_t i = 0; i < es.size(); ++i) {
+  es.by_comp().for_each(mb.cx, [&](CompIndex::Slot i) {
+    ms.jlog_edge_slot(i);
     // Crossing records keep their pre-split component id, which is the
-    // rest side cx of the re-merge that resolves them.  The guard scopes
-    // resolution to this merge's own split: a batched deletion group
-    // applies several replacement merges behind one barrier, and each
-    // must leave the other splits' crossing records alone.
-    if (es.crossing[i] != 0 && mb.resolve_crossing && es.comp[i] == mb.cx) {
-      ms.jlog_edge_slot(i);
+    // rest side cx of the re-merge that resolves them.  Walking only cx's
+    // bucket scopes resolution to this merge's own split: a batched
+    // deletion group applies several replacement merges behind one
+    // barrier, and each must leave the other splits' crossing records
+    // alone.
+    if (es.crossing[i] != 0 && mb.resolve_crossing) {
       es.iu1[i] = es.u_in_subtree[i] != 0 ? ty_xform(es.iu1[i])
                                           : tx_xform(es.iu1[i]);
       es.iv1[i] = es.v_in_subtree[i] != 0 ? ty_xform(es.iv1[i])
@@ -497,38 +508,39 @@ void DynamicForest::apply_merge_local(MachineState& ms, const MergeBcast& mb) {
       if (es.u[i] == mb.y) es.iu1[i] = mb.cached_y;
       if (es.v[i] == mb.x) es.iv1[i] = mb.cached_x;
       if (es.v[i] == mb.y) es.iv1[i] = mb.cached_y;
-      es.comp[i] = mb.cx;
       es.crossing[i] = 0;
       es.u_in_subtree[i] = es.v_in_subtree[i] = 0;
-      continue;
+      return;
     }
-    if (es.comp[i] == mb.cy) {
-      ms.jlog_edge_slot(i);
-      es.iu1[i] = ty_xform(es.iu1[i]);
-      es.iu2[i] = es.tree[i] != 0 ? ty_xform(es.iu2[i]) : es.iu2[i];
-      es.iv1[i] = ty_xform(es.iv1[i]);
-      es.iv2[i] = es.tree[i] != 0 ? ty_xform(es.iv2[i]) : es.iv2[i];
-      es.comp[i] = mb.cx;
-    } else if (es.comp[i] == mb.cx) {
-      ms.jlog_edge_slot(i);
-      es.iu1[i] = tx_xform(es.iu1[i]);
-      es.iu2[i] = es.tree[i] != 0 ? tx_xform(es.iu2[i]) : es.iu2[i];
-      es.iv1[i] = tx_xform(es.iv1[i]);
-      es.iv2[i] = es.tree[i] != 0 ? tx_xform(es.iv2[i]) : es.iv2[i];
-    }
-  }
-  for (auto& [v, rec] : ms.vertices) {
-    if (rec.comp == mb.cy || rec.comp == mb.cx || v == mb.x || v == mb.y) {
-      ms.jlog_vertex(v, rec);
-    }
-    if (rec.comp == mb.cy) {
-      rec.cached_idx = ty_xform(rec.cached_idx);
-      rec.comp = mb.cx;
-    } else if (rec.comp == mb.cx) {
-      rec.cached_idx = tx_xform(rec.cached_idx);
-    }
-    if (v == mb.x) rec.cached_idx = mb.cached_x;
-    if (v == mb.y) rec.cached_idx = mb.cached_y;
+    es.iu1[i] = tx_xform(es.iu1[i]);
+    es.iu2[i] = es.tree[i] != 0 ? tx_xform(es.iu2[i]) : es.iu2[i];
+    es.iv1[i] = tx_xform(es.iv1[i]);
+    es.iv2[i] = es.tree[i] != 0 ? tx_xform(es.iv2[i]) : es.iv2[i];
+  });
+  es.by_comp().for_each(mb.cy, [&](CompIndex::Slot i) {
+    ms.jlog_edge_slot(i);
+    es.iu1[i] = ty_xform(es.iu1[i]);
+    es.iu2[i] = es.tree[i] != 0 ? ty_xform(es.iu2[i]) : es.iu2[i];
+    es.iv1[i] = ty_xform(es.iv1[i]);
+    es.iv2[i] = es.tree[i] != 0 ? ty_xform(es.iv2[i]) : es.iv2[i];
+    es.set_comp(i, mb.cx);
+  });
+  VertexStore& vs = ms.vertices;
+  vs.by_comp().for_each(mb.cx, [&](VertexStore::Slot s) {
+    ms.jlog_vertex(s);
+    vs.set_cached_idx(s, tx_xform(vs.cached_idx(s)));
+  });
+  vs.by_comp().for_each(mb.cy, [&](VertexStore::Slot s) {
+    ms.jlog_vertex(s);
+    vs.set_cached_idx(s, ty_xform(vs.cached_idx(s)));
+    vs.set_comp(s, mb.cx);
+  });
+  for (const auto& [v, idx] : {std::pair{mb.x, mb.cached_x},
+                               std::pair{mb.y, mb.cached_y}}) {
+    if (!vs.hosts(v)) continue;
+    const VertexStore::Slot s = vs.slot_of(v);
+    if (vs.comp(s) != mb.cx) ms.jlog_vertex(s);  // not walked above
+    vs.set_cached_idx(s, idx);
   }
 }
 
@@ -541,10 +553,9 @@ void DynamicForest::apply_split_local(MachineState& ms, const SplitBcast& sb) {
                                           : etour::split_shift_rest(i, sp);
   };
   EdgeShard& es = ms.edges;
-  for (std::size_t i = 0; i < es.size(); ++i) {
-    if (es.comp[i] != sb.comp) continue;
+  es.by_comp().for_each(sb.comp, [&](CompIndex::Slot i) {
     if (es.key_at(i) == cut_key) {
-      continue;  // deleted by an explicit message next round
+      return;  // deleted by an explicit message next round
     }
     ms.jlog_edge_slot(i);
     if (es.tree[i] != 0) {
@@ -553,43 +564,43 @@ void DynamicForest::apply_split_local(MachineState& ms, const SplitBcast& sb) {
       es.iu2[i] = xform(es.iu2[i]);
       es.iv1[i] = xform(es.iv1[i]);
       es.iv2[i] = xform(es.iv2[i]);
-      if (inside) es.comp[i] = sb.new_comp;
-    } else {
-      const bool su = etour::split_in_subtree(es.iu1[i], sp);
-      const bool sv = etour::split_in_subtree(es.iv1[i], sp);
-      es.iu1[i] = xform(es.iu1[i]);
-      es.iv1[i] = xform(es.iv1[i]);
-      // Cached indexes that were copies of the cut edge's own entries
-      // became stale; the broadcast carries fresh appearances for the two
-      // endpoints.
-      if (es.u[i] == sb.parent) es.iu1[i] = sb.cached_parent;
-      if (es.u[i] == sb.child) es.iu1[i] = sb.cached_child;
-      if (es.v[i] == sb.parent) es.iv1[i] = sb.cached_parent;
-      if (es.v[i] == sb.child) es.iv1[i] = sb.cached_child;
-      if (su == sv) {
-        if (su) es.comp[i] = sb.new_comp;
-      } else {
-        es.crossing[i] = 1;
-        es.u_in_subtree[i] = su ? 1 : 0;
-        es.v_in_subtree[i] = sv ? 1 : 0;
-      }
+      if (inside) es.set_comp(i, sb.new_comp);
+      return;
     }
-  }
-  for (auto& [v, rec] : ms.vertices) {
-    if (rec.comp != sb.comp) continue;
-    ms.jlog_vertex(v, rec);
+    const bool su = etour::split_in_subtree(es.iu1[i], sp);
+    const bool sv = etour::split_in_subtree(es.iv1[i], sp);
+    es.iu1[i] = xform(es.iu1[i]);
+    es.iv1[i] = xform(es.iv1[i]);
+    // Cached indexes that were copies of the cut edge's own entries
+    // became stale; the broadcast carries fresh appearances for the two
+    // endpoints.
+    if (es.u[i] == sb.parent) es.iu1[i] = sb.cached_parent;
+    if (es.u[i] == sb.child) es.iu1[i] = sb.cached_child;
+    if (es.v[i] == sb.parent) es.iv1[i] = sb.cached_parent;
+    if (es.v[i] == sb.child) es.iv1[i] = sb.cached_child;
+    if (su == sv) {
+      if (su) es.set_comp(i, sb.new_comp);
+    } else {
+      es.crossing[i] = 1;
+      es.u_in_subtree[i] = su ? 1 : 0;
+      es.v_in_subtree[i] = sv ? 1 : 0;
+    }
+  });
+  VertexStore& vs = ms.vertices;
+  vs.by_comp().for_each(sb.comp, [&](VertexStore::Slot s) {
+    ms.jlog_vertex(s);
+    const VertexId v = vs.vertex_at(s);
+    const Word idx = vs.cached_idx(s);
     if (v == sb.parent) {
-      rec.cached_idx = sb.cached_parent;
+      vs.set_cached_idx(s, sb.cached_parent);
     } else if (v == sb.child) {
-      rec.cached_idx = sb.cached_child;
-      rec.comp = sb.new_comp;
-    } else if (etour::split_in_subtree(rec.cached_idx, sp)) {
-      rec.cached_idx = etour::split_shift_subtree(rec.cached_idx, sp);
-      rec.comp = sb.new_comp;
+      vs.set(s, VertexRec{sb.new_comp, sb.cached_child});
+    } else if (etour::split_in_subtree(idx, sp)) {
+      vs.set(s, VertexRec{sb.new_comp, etour::split_shift_subtree(idx, sp)});
     } else {
-      rec.cached_idx = etour::split_shift_rest(rec.cached_idx, sp);
+      vs.set_cached_idx(s, etour::split_shift_rest(idx, sp));
     }
-  }
+  });
 }
 
 void DynamicForest::run_merge(const MergeBcast& mb) {
@@ -872,59 +883,44 @@ void DynamicForest::delete_tree_edge(const Prep& p, VertexId x, VertexId y,
   cluster_->memory(dir_machine(rp.cy)).release(kDirRecWords);
 }
 
+bool DynamicForest::on_path(const EdgeShard& es, std::size_t i, Word fx,
+                            Word lx, Word fy, Word ly) {
+  // Child endpoint owns the inner index pair.
+  const Word u_lo = std::min(es.iu1[i], es.iu2[i]);
+  const Word u_hi = std::max(es.iu1[i], es.iu2[i]);
+  const Word v_lo = std::min(es.iv1[i], es.iv2[i]);
+  const Word v_hi = std::max(es.iv1[i], es.iv2[i]);
+  const Word f_c = u_lo > v_lo ? u_lo : v_lo;
+  const Word l_c = u_lo > v_lo ? u_hi : v_hi;
+  const bool anc_x = f_c <= fx && lx <= l_c;
+  const bool anc_y = f_c <= fy && ly <= l_c;
+  return anc_x != anc_y;
+}
+
 std::optional<DynamicForest::EdgeRec> DynamicForest::path_max_local(
     MachineId m, Word comp, Word fx, Word lx, Word fy, Word ly) const {
   const EdgeShard& es = machines_[m].edges;
-  std::ptrdiff_t best_slot = EdgeShard::kNpos;
-  for (std::size_t i = 0; i < es.size(); ++i) {
-    if (es.tree[i] == 0 || es.comp[i] != comp) continue;
-    // Child endpoint owns the inner index pair.
-    const Word u_lo = std::min(es.iu1[i], es.iu2[i]);
-    const Word u_hi = std::max(es.iu1[i], es.iu2[i]);
-    const Word v_lo = std::min(es.iv1[i], es.iv2[i]);
-    const Word v_hi = std::max(es.iv1[i], es.iv2[i]);
-    Word f_c, l_c;
-    if (u_lo > v_lo) {
-      f_c = u_lo;
-      l_c = u_hi;
-    } else {
-      f_c = v_lo;
-      l_c = v_hi;
+  std::ptrdiff_t best = EdgeShard::kNpos;
+  es.by_comp().for_each(comp, [&](CompIndex::Slot i) {
+    if (es.tree[i] == 0 || !on_path(es, i, fx, lx, fy, ly)) return;
+    // Equal weights go to the lowest slot, the pick of a slot-order scan.
+    const auto s = static_cast<std::ptrdiff_t>(i);
+    if (best == EdgeShard::kNpos || es.w[i] > es.w[best] ||
+        (es.w[i] == es.w[best] && s < best)) {
+      best = s;
     }
-    const bool anc_x = f_c <= fx && lx <= l_c;
-    const bool anc_y = f_c <= fy && ly <= l_c;
-    if (anc_x == anc_y) continue;  // not on the tree path
-    if (best_slot == EdgeShard::kNpos || es.w[i] > es.w[best_slot]) {
-      best_slot = static_cast<std::ptrdiff_t>(i);
-    }
-  }
-  if (best_slot == EdgeShard::kNpos) return std::nullopt;
-  return es.get(static_cast<std::size_t>(best_slot));
+  });
+  if (best == EdgeShard::kNpos) return std::nullopt;
+  return es.get(static_cast<std::size_t>(best));
 }
 
 Weight DynamicForest::path_weight_local(MachineId m, Word comp, Word fx,
                                         Word lx, Word fy, Word ly) const {
   const EdgeShard& es = machines_[m].edges;
   Weight sum = 0;
-  for (std::size_t i = 0; i < es.size(); ++i) {
-    if (es.tree[i] == 0 || es.comp[i] != comp) continue;
-    const Word u_lo = std::min(es.iu1[i], es.iu2[i]);
-    const Word u_hi = std::max(es.iu1[i], es.iu2[i]);
-    const Word v_lo = std::min(es.iv1[i], es.iv2[i]);
-    const Word v_hi = std::max(es.iv1[i], es.iv2[i]);
-    Word f_c, l_c;
-    if (u_lo > v_lo) {
-      f_c = u_lo;
-      l_c = u_hi;
-    } else {
-      f_c = v_lo;
-      l_c = v_hi;
-    }
-    const bool anc_x = f_c <= fx && lx <= l_c;
-    const bool anc_y = f_c <= fy && ly <= l_c;
-    if (anc_x == anc_y) continue;  // not on the tree path
-    sum += es.w[i];
-  }
+  es.by_comp().for_each(comp, [&](CompIndex::Slot i) {
+    if (es.tree[i] != 0 && on_path(es, i, fx, lx, fy, ly)) sum += es.w[i];
+  });
   return sum;
 }
 
@@ -1265,7 +1261,7 @@ DynamicForest::BatchOp DynamicForest::classify_op(const graph::Update& up,
     return op;
   }
   if (!exists) return op;  // absent delete: kNoop
-  op.cx = op.cy = es.comp[slot];
+  op.cx = op.cy = es.comp(static_cast<std::size_t>(slot));
   if (es.tree[slot] != 0) {
     op.kind = BatchOpKind::kTreeDelete;
     op.writes[op.num_writes++] = op.cx;
@@ -1990,7 +1986,7 @@ DynamicForest::GroupOutcome DynamicForest::run_group_commit(
     std::vector<std::ptrdiff_t> best(items.size(), EdgeShard::kNpos);
     for (std::size_t i = 0; i < es.size(); ++i) {
       if (es.crossing[i] == 0) continue;
-      const auto it = owner.find(es.comp[i]);
+      const auto it = owner.find(es.comp(i));
       if (it == owner.end()) continue;  // unreachable: splits own crossings
       std::ptrdiff_t& b = best[it->second];
       if (b == EdgeShard::kNpos || es.w[i] < es.w[b]) {
@@ -2480,35 +2476,37 @@ void DynamicForest::run_stage_kway(std::vector<BatchOp>& ops) {
         machines_.size());
     std::vector<std::map<std::tuple<Word, Word, Word>, Cand>> mbest(
         machines_.size());
+    std::vector<std::uint64_t> visited(machines_.size(), 0);
     cluster_->for_each_machine([&](MachineId m) {
       const EdgeShard& es = machines_[m].edges;
       auto& lapp = mapp[m];
       auto& lbest = mbest[m];
-      for (std::size_t s = 0; s < es.size(); ++s) {
-        const auto sit = splits.find(es.comp[s]);
-        if (sit == splits.end()) continue;
-        const etour::KWaySplit& sp = *sit->second.split;
-        if (es.tree[s] != 0) {
-          const std::vector<VertexId>& cv = cut_verts.find(es.comp[s])->second;
-          const auto touch = [&](VertexId vert, Word i1, Word i2) {
-            if (!std::binary_search(cv.begin(), cv.end(), vert)) return;
-            for (const Word entry : {i1, i2}) {
-              if (sp.removed(entry)) continue;
-              const auto [it, fresh] =
-                  lapp.emplace(std::make_pair(es.comp[s], vert), entry);
-              if (!fresh && entry < it->second) it->second = entry;
-            }
-          };
-          touch(es.u[s], es.iu1[s], es.iu2[s]);
-          touch(es.v[s], es.iv1[s], es.iv2[s]);
-        } else {
+      for (const auto& [comp, sc] : splits) {
+        const etour::KWaySplit& sp = *sc.split;
+        const std::vector<VertexId>& cv = cut_verts.find(comp)->second;
+        visited[m] += es.by_comp().count(comp);
+        es.by_comp().for_each(comp, [&](CompIndex::Slot s) {
+          if (es.tree[s] != 0) {
+            const auto touch = [&](VertexId vert, Word i1, Word i2) {
+              if (!std::binary_search(cv.begin(), cv.end(), vert)) return;
+              for (const Word entry : {i1, i2}) {
+                if (sp.removed(entry)) continue;
+                const auto [it, fresh] =
+                    lapp.emplace(std::make_pair(comp, vert), entry);
+                if (!fresh && entry < it->second) it->second = entry;
+              }
+            };
+            touch(es.u[s], es.iu1[s], es.iu2[s]);
+            touch(es.v[s], es.iv1[s], es.iv2[s]);
+            return;
+          }
           // Cached appearances locate the fragment even when the entry
           // itself was removed (a removed entry sits positionally inside
           // its owner vertex's fragment); only the index VALUE needs the
           // owner-side fix, resolved after the Kruskal.
           const Word fu = static_cast<Word>(sp.fragment_of(es.iu1[s]));
           const Word fv = static_cast<Word>(sp.fragment_of(es.iv1[s]));
-          if (fu == fv) continue;
+          if (fu == fv) return;
           Cand c;
           c.w = es.w[s];
           c.u = es.u[s];
@@ -2517,15 +2515,15 @@ void DynamicForest::run_stage_kway(std::vector<BatchOp>& ops) {
           c.fv = fv;
           c.iu = es.iu1[s];
           c.iv = es.iv1[s];
-          const auto key = std::make_tuple(es.comp[s], std::min(fu, fv),
-                                           std::max(fu, fv));
+          const auto key =
+              std::make_tuple(comp, std::min(fu, fv), std::max(fu, fv));
           const auto [it, fresh] = lbest.emplace(key, c);
           if (!fresh && std::tie(c.w, c.u, c.v) <
                             std::tie(it->second.w, it->second.u,
                                      it->second.v)) {
             it->second = c;
           }
-        }
+        });
       }
       for (const auto& [k, entry] : lapp) {
         cluster_->send(m, app_collector(k.first, k.second), kBatchReply,
@@ -2541,6 +2539,7 @@ void DynamicForest::run_stage_kway(std::vector<BatchOp>& ops) {
       }
     });
     finish();
+    for (const std::uint64_t c : visited) batch_stats_.records_visited += c;
     // ---- Cascade round B: collectors fold and forward the survivors to
     // each split component's owner machine.
     for (MachineId m = 0; m < mu; ++m) {
@@ -2758,16 +2757,28 @@ void DynamicForest::run_stage_kway(std::vector<BatchOp>& ops) {
   for (const LinkRec& lr : links) {
     link_keys[edge_key(lr.c.u, lr.c.v)] = {lr.link_id, lr.c.fu};
   }
+  std::vector<std::uint64_t> visited(machines_.size(), 0);
   cluster_->for_each_machine([&](MachineId m) {
-    EdgeShard& es = machines_[m].edges;
-    for (std::size_t s = 0; s < es.size(); ++s) {
-      const Word comp = es.comp[s];
+    MachineState& ms = machines_[m];
+    EdgeShard& es = ms.edges;
+    VertexStore& vs = ms.vertices;
+    // Snapshot every touched bucket before rewriting any record: merge
+    // components relabel into each other's buckets, and a record walked
+    // twice would be transformed twice.
+    std::vector<CompIndex::Slot> eslots, vslots;
+    for (const auto& [comp, base] : comp_base) {
+      es.by_comp().append(comp, eslots);
+      vs.by_comp().append(comp, vslots);
+    }
+    visited[m] = eslots.size() + vslots.size();
+    for (const CompIndex::Slot s : eslots) {
+      const Word comp = es.comp(s);
       const auto sit = splits.find(comp);
       if (sit != splits.end()) {
         const SplitComp& sc = sit->second;
         const etour::KWaySplit& sp = *sc.split;
         if (cut_keys.count(es.key_at(s)) != 0) continue;  // erased below
-        machines_[m].jlog_edge_slot(s);
+        ms.jlog_edge_slot(s);
         if (es.tree[s] != 0) {
           // A surviving tree edge's 4 entries all live in one fragment.
           const std::size_t frag = sc.base + sp.fragment_of(es.iu1[s]);
@@ -2775,7 +2786,7 @@ void DynamicForest::run_stage_kway(std::vector<BatchOp>& ops) {
           es.iu2[s] = plan.map_index(frag, sp.new_index(es.iu2[s]));
           es.iv1[s] = plan.map_index(frag, sp.new_index(es.iv1[s]));
           es.iv2[s] = plan.map_index(frag, sp.new_index(es.iv2[s]));
-          es.comp[s] = final_label(frag);
+          es.set_comp(s, final_label(frag));
           continue;
         }
         const auto lit = link_keys.find(es.key_at(s));
@@ -2788,7 +2799,7 @@ void DynamicForest::run_stage_kway(std::vector<BatchOp>& ops) {
           es.iu2[s] = ni.x_exit;
           es.iv1[s] = ni.y_enter;
           es.iv2[s] = ni.y_exit;
-          es.comp[s] = final_label(sc.base + lit->second.fu);
+          es.set_comp(s, final_label(sc.base + lit->second.fu));
           continue;
         }
         const auto endpoint = [&](VertexId vert, Word raw) {
@@ -2803,51 +2814,46 @@ void DynamicForest::run_stage_kway(std::vector<BatchOp>& ops) {
         const auto pv = endpoint(es.v[s], es.iv1[s]);
         es.iu1[s] = plan.resolve(sc.base + pu.first, pu.second);
         es.iv1[s] = plan.resolve(sc.base + pv.first, pv.second);
-        es.comp[s] = final_label(sc.base + pu.first);
+        es.set_comp(s, final_label(sc.base + pu.first));
         continue;
       }
-      const auto mbit = comp_base.find(comp);
-      if (mbit == comp_base.end()) continue;
-      machines_[m].jlog_edge_slot(s);
-      const std::size_t base = mbit->second;
+      ms.jlog_edge_slot(s);
+      const std::size_t base = comp_base.at(comp);
+      es.iu1[s] = plan.map_index(base, es.iu1[s]);
+      es.iv1[s] = plan.map_index(base, es.iv1[s]);
       if (es.tree[s] != 0) {
-        es.iu1[s] = plan.map_index(base, es.iu1[s]);
         es.iu2[s] = plan.map_index(base, es.iu2[s]);
-        es.iv1[s] = plan.map_index(base, es.iv1[s]);
         es.iv2[s] = plan.map_index(base, es.iv2[s]);
-      } else {
-        es.iu1[s] = plan.map_index(base, es.iu1[s]);
-        es.iv1[s] = plan.map_index(base, es.iv1[s]);
       }
-      es.comp[s] = final_label(base);
+      es.set_comp(s, final_label(base));
     }
-    for (auto& [v, rec] : machines_[m].vertices) {
-      const auto sit = splits.find(rec.comp);
+    for (const VertexStore::Slot s : vslots) {
+      ms.jlog_vertex(s);
+      const Word comp = vs.comp(s);
+      const Word cached = vs.cached_idx(s);
+      const auto sit = splits.find(comp);
       if (sit != splits.end()) {
-        machines_[m].jlog_vertex(v, rec);
         const SplitComp& sc = sit->second;
         const etour::KWaySplit& sp = *sc.split;
         std::size_t frag;
         Word idx;
-        if (!sp.removed(rec.cached_idx)) {
-          frag = sp.fragment_of(rec.cached_idx);
-          idx = sp.new_index(rec.cached_idx);
+        if (!sp.removed(cached)) {
+          frag = sp.fragment_of(cached);
+          idx = sp.new_index(cached);
         } else {
-          const auto& fx = fixes.at(std::make_pair(rec.comp, v));
+          const auto& fx = fixes.at(std::make_pair(comp, vs.vertex_at(s)));
           frag = fx.first;
           idx = fx.second;
         }
-        rec.cached_idx = plan.resolve(sc.base + frag, idx);
-        rec.comp = final_label(sc.base + frag);
+        vs.set(s, VertexRec{final_label(sc.base + frag),
+                            plan.resolve(sc.base + frag, idx)});
         continue;
       }
-      const auto mbit = comp_base.find(rec.comp);
-      if (mbit == comp_base.end()) continue;
-      machines_[m].jlog_vertex(v, rec);
-      rec.cached_idx = plan.resolve(mbit->second, rec.cached_idx);
-      rec.comp = final_label(mbit->second);
+      const std::size_t base = comp_base.at(comp);
+      vs.set(s, VertexRec{final_label(base), plan.resolve(base, cached)});
     }
   });
+  for (const std::uint64_t c : visited) batch_stats_.records_visited += c;
   // Cut records vanish, merge edges become tree records at their
   // coordinators, and the directory applies the staged writes.
   for (const CutInfo& ci : cuts) {
@@ -3259,8 +3265,9 @@ std::vector<VertexId> DynamicForest::component_snapshot() const {
   // write disjoint elements of `raw` and run on the installed executor.
   std::vector<Word> raw(config_.n);
   exec().run(machines_.size(), [&](std::size_t m) {
-    for (const auto& [v, rec] : machines_[m].vertices) {
-      raw[static_cast<std::size_t>(v)] = rec.comp;
+    const VertexStore& vs = machines_[m].vertices;
+    for (VertexStore::Slot s = 0; s < vs.size(); ++s) {
+      raw[static_cast<std::size_t>(vs.vertex_at(s))] = vs.comp(s);
     }
   });
   // Canonicalize to the smallest member vertex id.
@@ -3320,6 +3327,7 @@ bool DynamicForest::validate(std::string* why) const {
   // SerialExecutor and ThreadPoolExecutor.
   struct MachinePart {
     bool crossing = false;
+    std::string index_err;  ///< empty when both component indexes check
     std::vector<std::pair<Word, std::pair<EdgeKey, etour::EdgeIndexes>>> tree;
     std::vector<EdgeRec> nontree;
   };
@@ -3327,6 +3335,15 @@ bool DynamicForest::validate(std::string* why) const {
   exec().run(machines_.size(), [&](std::size_t m) {
     MachinePart& pt = parts[m];
     const EdgeShard& es = machines_[m].edges;
+    const VertexStore& vs = machines_[m].vertices;
+    std::string why;
+    if (!es.by_comp().check([&](CompIndex::Slot s) { return es.comp(s); },
+                            &why) ||
+        !vs.by_comp().check([&](CompIndex::Slot s) { return vs.comp(s); },
+                            &why)) {
+      pt.index_err = "machine " + std::to_string(m) + ": " + why;
+      return;
+    }
     for (std::size_t i = 0; i < es.size(); ++i) {
       const EdgeRec rec = es.get(i);
       if (rec.crossing) {
@@ -3347,15 +3364,17 @@ bool DynamicForest::validate(std::string* why) const {
   std::map<Word, Word> dir;
   std::vector<EdgeRec> nontree;
   for (std::size_t m = 0; m < machines_.size(); ++m) {
+    if (!parts[m].index_err.empty()) return fail(parts[m].index_err);
     if (parts[m].crossing) return fail("unresolved crossing record");
     for (const auto& [comp, edge] : parts[m].tree) {
       comp_edges[comp][edge.first] = edge.second;
     }
     nontree.insert(nontree.end(), parts[m].nontree.begin(),
                    parts[m].nontree.end());
-    for (const auto& [v, rec] : machines_[m].vertices) {
-      vrecs[v] = rec;
-      comp_members[rec.comp].insert(v);
+    const VertexStore& vs = machines_[m].vertices;
+    for (VertexStore::Slot s = 0; s < vs.size(); ++s) {
+      vrecs[vs.vertex_at(s)] = vs.get(s);
+      comp_members[vs.comp(s)].insert(vs.vertex_at(s));
     }
     for (const auto& [c, s] : machines_[m].comp_sizes) dir[c] = s;
   }

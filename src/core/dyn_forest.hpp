@@ -76,6 +76,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/comp_index.hpp"
 #include "dmpc/cluster.hpp"
 #include "etour/transforms.hpp"
 #include "graph/generators.hpp"
@@ -317,13 +318,17 @@ class DynamicForest {
   };
 
   /// Structure-of-arrays storage for one machine's edge records.  The
-  /// replacement-search and path-max scans walk the whole shard testing a
+  /// replacement-search and endpoint scans walk the whole shard testing a
   /// couple of fields per record; dense per-field columns let those scans
   /// touch only the bytes they read (and vectorize) instead of striding
   /// over hash-map nodes.  Slots are dense [0, size()); erase swap-removes
   /// the last slot in, so slot order depends on the shard's full mutation
   /// history — callers may rely on it only being identical across
   /// executors (the mutation sequence is), never on any particular order.
+  /// Slots are also indexed by component (CompIndex), so comp-filtered
+  /// steps walk only the records of the components they name; the comp
+  /// column is therefore written only through set_comp/set/put/erase,
+  /// which keep the index in step.
   class EdgeShard {
    public:
     static constexpr std::ptrdiff_t kNpos = -1;
@@ -336,9 +341,10 @@ class DynamicForest {
     void reserve(std::size_t n) {
       index_.reserve(n);
       keys_.reserve(n);
+      by_comp_.reserve(n);
       u.reserve(n);
       v.reserve(n);
-      comp.reserve(n);
+      comp_.reserve(n);
       w.reserve(n);
       iu1.reserve(n);
       iu2.reserve(n);
@@ -359,12 +365,20 @@ class DynamicForest {
       return index_.find(key) != index_.end();
     }
     [[nodiscard]] std::uint64_t key_at(std::size_t s) const { return keys_[s]; }
+    [[nodiscard]] Word comp(std::size_t s) const { return comp_[s]; }
+    [[nodiscard]] const CompIndex& by_comp() const { return by_comp_; }
+
+    /// Relabels slot s, moving it to comp's bucket.
+    void set_comp(std::size_t s, Word comp) {
+      by_comp_.relink(static_cast<CompIndex::Slot>(s), comp_[s], comp);
+      comp_[s] = comp;
+    }
 
     [[nodiscard]] EdgeRec get(std::size_t s) const {
       EdgeRec r;
       r.u = u[s];
       r.v = v[s];
-      r.comp = comp[s];
+      r.comp = comp_[s];
       r.tree = tree[s] != 0;
       r.w = w[s];
       r.iu1 = iu1[s];
@@ -380,7 +394,7 @@ class DynamicForest {
     void set(std::size_t s, const EdgeRec& r) {
       u[s] = r.u;
       v[s] = r.v;
-      comp[s] = r.comp;
+      set_comp(s, r.comp);
       tree[s] = r.tree ? 1 : 0;
       w[s] = r.w;
       iu1[s] = r.iu1;
@@ -401,9 +415,10 @@ class DynamicForest {
       }
       index_.emplace(key, static_cast<std::uint32_t>(keys_.size()));
       keys_.push_back(key);
+      by_comp_.push_back(r.comp);
       u.push_back(r.u);
       v.push_back(r.v);
-      comp.push_back(r.comp);
+      comp_.push_back(r.comp);
       tree.push_back(r.tree ? 1 : 0);
       w.push_back(r.w);
       iu1.push_back(r.iu1);
@@ -422,11 +437,13 @@ class DynamicForest {
       const std::size_t s = it->second;
       index_.erase(it);
       const std::size_t last = keys_.size() - 1;
+      by_comp_.swap_remove(static_cast<CompIndex::Slot>(s), comp_[s],
+                           comp_[last]);
       if (s != last) {
         keys_[s] = keys_[last];
         u[s] = u[last];
         v[s] = v[last];
-        comp[s] = comp[last];
+        comp_[s] = comp_[last];
         tree[s] = tree[last];
         w[s] = w[last];
         iu1[s] = iu1[last];
@@ -441,7 +458,7 @@ class DynamicForest {
       keys_.pop_back();
       u.pop_back();
       v.pop_back();
-      comp.pop_back();
+      comp_.pop_back();
       tree.pop_back();
       w.pop_back();
       iu1.pop_back();
@@ -457,14 +474,72 @@ class DynamicForest {
     // transform loops (apply_merge_local / apply_split_local) write the
     // index columns in place.
     std::vector<VertexId> u, v;
-    std::vector<Word> comp;
     std::vector<Weight> w;
     std::vector<Word> iu1, iu2, iv1, iv2;
     std::vector<std::uint8_t> tree, crossing, u_in_subtree, v_in_subtree;
 
    private:
+    std::vector<Word> comp_;
     std::vector<std::uint64_t> keys_;
     std::unordered_map<std::uint64_t, std::uint32_t> index_;
+    CompIndex by_comp_;
+  };
+
+  /// One machine's vertex records, dense: vertex v lives on machine
+  /// v % mu at slot v / mu for the lifetime of the forest, so the store
+  /// is two columns plus the component index, with no hash lookup.
+  class VertexStore {
+   public:
+    using Slot = CompIndex::Slot;
+
+    /// Records for the vertices home, home + stride, ... below n, each in
+    /// its own singleton component with no tour index.
+    void init(MachineId home, std::size_t stride, std::size_t n) {
+      home_ = home;
+      stride_ = stride;
+      const std::size_t count = home < n ? (n - home + stride - 1) / stride : 0;
+      comp_.reserve(count);
+      cached_.assign(count, etour::kNoIndex);
+      by_comp_.reserve(count);
+      for (std::size_t s = 0; s < count; ++s) {
+        const auto v = static_cast<Word>(home + s * stride);
+        comp_.push_back(v);
+        by_comp_.push_back(v);
+      }
+    }
+
+    [[nodiscard]] std::size_t size() const { return comp_.size(); }
+    [[nodiscard]] Slot slot_of(VertexId v) const {
+      return static_cast<Slot>(static_cast<std::size_t>(v) / stride_);
+    }
+    [[nodiscard]] VertexId vertex_at(Slot s) const {
+      return static_cast<VertexId>(s * stride_ + home_);
+    }
+    [[nodiscard]] bool hosts(VertexId v) const {
+      return static_cast<std::size_t>(v) % stride_ == home_;
+    }
+    [[nodiscard]] Word comp(Slot s) const { return comp_[s]; }
+    [[nodiscard]] Word cached_idx(Slot s) const { return cached_[s]; }
+    [[nodiscard]] VertexRec get(Slot s) const { return {comp_[s], cached_[s]}; }
+    [[nodiscard]] VertexRec at(VertexId v) const { return get(slot_of(v)); }
+    [[nodiscard]] const CompIndex& by_comp() const { return by_comp_; }
+
+    void set_cached_idx(Slot s, Word idx) { cached_[s] = idx; }
+    void set_comp(Slot s, Word comp) {
+      by_comp_.relink(s, comp_[s], comp);
+      comp_[s] = comp;
+    }
+    void set(Slot s, const VertexRec& r) {
+      set_comp(s, r.comp);
+      cached_[s] = r.cached_idx;
+    }
+
+   private:
+    std::size_t home_ = 0;
+    std::size_t stride_ = 1;
+    std::vector<Word> comp_;
+    std::vector<Word> cached_;
+    CompIndex by_comp_;
   };
 
   /// One machine's undo journal: pre-images appended right before each
@@ -481,7 +556,7 @@ class DynamicForest {
       EdgeRec rec;           ///< pre-image when existed
     };
     struct VertexEntry {
-      VertexId v = dmpc::kNoVertex;
+      VertexStore::Slot slot = 0;
       VertexRec rec;
     };
     struct DirEntry {
@@ -502,7 +577,7 @@ class DynamicForest {
 
   struct MachineState {
     EdgeShard edges;
-    std::unordered_map<VertexId, VertexRec> vertices;
+    VertexStore vertices;
     std::unordered_map<Word, Word> comp_sizes;  // directory shard
     // Undo journal (see MachineJournal).  Written only by this machine's
     // round task or by the orchestrator between barriers — exactly the
@@ -528,12 +603,12 @@ class DynamicForest {
       if (!journal_armed) return;
       journal.edges.push_back({edges.key_at(s), true, edges.get(s)});
     }
-    /// Logs vertex `v`'s pre-image before a record write.  Vertex
+    /// Logs vertex slot s's pre-image before a record write.  Vertex
     /// records exist for the lifetime of the forest, so there is no
     /// created-by-the-mutation case.
-    void jlog_vertex(VertexId v, const VertexRec& rec) {
+    void jlog_vertex(VertexStore::Slot s) {
       if (!journal_armed) return;
-      journal.vertices.push_back({v, rec});
+      journal.vertices.push_back({s, vertices.get(s)});
     }
     /// Logs directory entry `comp`'s pre-image before a write or erase.
     void jlog_dir(Word comp) {
@@ -806,6 +881,12 @@ class DynamicForest {
                                                       Word fx, Word lx,
                                                       Word fy, Word ly) const;
 
+  /// Whether tree record i lies on the tree path between the subtree
+  /// intervals [fx,lx] and [fy,ly]: exactly one of them nests inside the
+  /// record's child interval (the ancestor-XOR criterion).
+  [[nodiscard]] static bool on_path(const EdgeShard& es, std::size_t i,
+                                    Word fx, Word lx, Word fy, Word ly);
+
   /// Sum of this machine's tree-edge weights on the x..y path (the
   /// path-max ancestor-XOR criterion, folded with + instead of max).
   [[nodiscard]] Weight path_weight_local(MachineId m, Word comp, Word fx,
@@ -946,8 +1027,15 @@ class DynamicForest {
   dmpc::BatchScheduleStats journal_batch_stats_;
   std::vector<dmpc::WordCount> journal_mem_used_;
 
-  static constexpr Word kEdgeRecWords = 12;
-  static constexpr Word kVertexRecWords = 3;
+  // Words a record occupies on the wire (preprocessing ships them) and in
+  // machine memory, where each edge and vertex record also holds its
+  // share of the component index.
+  static constexpr Word kEdgeWireWords = 12;
+  static constexpr Word kVertexWireWords = 3;
+  static constexpr Word kEdgeRecWords =
+      kEdgeWireWords + CompIndex::kWordsPerRecord;
+  static constexpr Word kVertexRecWords =
+      kVertexWireWords + CompIndex::kWordsPerRecord;
   static constexpr Word kDirRecWords = 2;
 };
 

@@ -140,6 +140,11 @@ struct BatchScheduleStats {
   /// chain on one edge whose net effect is a no-op (or collapses to a
   /// single effective update) skips the protocol entirely.
   std::uint64_t elided_updates = 0;
+  /// Edge and vertex records the k-way commit and the replacement
+  /// cascade's fragment scan visited, summed over machines.  Both walk
+  /// only the component-index buckets of the stage's touched components,
+  /// so this tracks the stage's local work, independent of n.
+  std::uint64_t records_visited = 0;
 
   [[nodiscard]] double mean_group_size() const {
     return groups == 0 ? 0.0

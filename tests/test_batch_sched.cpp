@@ -13,11 +13,14 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <random>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "core/dyn_forest.hpp"
 #include "dmpc/executor.hpp"
+#include "graph/generators.hpp"
 #include "graph/update_stream.hpp"
 #include "harness/checks.hpp"
 #include "harness/driver.hpp"
@@ -205,6 +208,59 @@ TEST_P(PooledExecutorBitIdentity, MatchesSerialExecutor) {
   EXPECT_EQ(ss.cascade_rounds, ps.cascade_rounds) << "seed " << seed;
   EXPECT_EQ(ss.cascade_links, ps.cascade_links) << "seed " << seed;
   EXPECT_EQ(ss.elided_updates, ps.elided_updates) << "seed " << seed;
+  EXPECT_EQ(ss.records_visited, ps.records_visited) << "seed " << seed;
+}
+
+/// Records the k-way commit and cascade visit per stage on G(n, 0.4n)
+/// under batches of 16 churn updates (each deletes a present edge or
+/// inserts an absent pair with equal odds).  The graph is subcritical,
+/// so the touched components keep a constant expected size as n grows.
+double records_visited_per_stage(std::size_t n, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<graph::EdgeKey> present;
+  std::set<graph::EdgeKey> live;
+  const graph::EdgeList initial = graph::gnm(n, 2 * n / 5, rng());
+  for (const auto& [u, v] : initial) {
+    present.emplace_back(u, v);
+    live.insert(present.back());
+  }
+  core::DynamicForest forest({.n = n, .m_cap = n});
+  forest.preprocess(initial);
+  std::uniform_int_distribution<dmpc::VertexId> vertex(
+      0, static_cast<dmpc::VertexId>(n) - 1);
+  for (int b = 0; b < 48; ++b) {
+    std::vector<graph::Update> batch;
+    while (batch.size() < 16) {
+      if ((rng() & 1U) != 0) {
+        const std::size_t i = rng() % present.size();
+        const graph::EdgeKey k = present[i];
+        present[i] = present.back();
+        present.pop_back();
+        live.erase(k);
+        batch.push_back({graph::UpdateKind::kDelete, k.u, k.v, 1});
+        continue;
+      }
+      const graph::EdgeKey k(vertex(rng), vertex(rng));
+      if (k.u == k.v || !live.insert(k).second) continue;
+      present.push_back(k);
+      batch.push_back({graph::UpdateKind::kInsert, k.u, k.v, 1});
+    }
+    forest.apply_batch(batch);
+  }
+  const dmpc::BatchScheduleStats& st = forest.batch_stats();
+  return static_cast<double>(st.records_visited) /
+         static_cast<double>(st.stages);
+}
+
+// The k-way commit and the replacement cascade walk only the component
+// index buckets of the stage's touched components, so their local work
+// per stage does not grow with n (a full-shard scan grows 16x here).
+TEST(ComponentIndex, RecordsVisitedPerStageIndependentOfN) {
+  const double small = records_visited_per_stage(std::size_t{1} << 12, 7);
+  const double large = records_visited_per_stage(std::size_t{1} << 16, 7);
+  ASSERT_GT(small, 0.0);
+  EXPECT_LT(large, 2.0 * small) << "n=2^12: " << small
+                                << " per stage, n=2^16: " << large;
 }
 
 std::vector<StressCase> stress_cases(core::BatchPolicy policy) {

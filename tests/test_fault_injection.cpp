@@ -192,6 +192,73 @@ TEST(FaultSweep, WaveWeighted) {
   sweep_every_injection_point(config, true, sweep_stream(config.n, true), 6);
 }
 
+// A fault inside a k-way commit dispatch leaves some machines' records
+// rewritten and relinked into other components' buckets.  Rollback
+// replays the record pre-images through the stores' put/erase/set, which
+// relink the component index as they restore; validate() checks that
+// every record sits in its component's bucket.  Stage 1 cuts three tree
+// edges of one path component (the cascade reconnects each through a
+// chord; the cut records are swap-removed behind the commit), stage 2
+// links that component to another, so the fault in stage 2's commit also
+// unwinds stage 1's swap-removes.
+TEST(FaultSweep, KWayCommitFaultRestoresComponentIndex) {
+  const DynForestConfig config{.n = 64, .m_cap = 256};
+  graph::EdgeList edges;
+  for (VertexId v = 0; v + 1 < 32; ++v) edges.emplace_back(v, v + 1);
+  for (VertexId v = 0; v + 4 < 32; v += 3) edges.emplace_back(v, v + 4);
+  for (VertexId v = 32; v + 1 < 48; ++v) edges.emplace_back(v, v + 1);
+  const std::vector<Update> batch = {{UpdateKind::kDelete, 5, 6, 1},
+                                     {UpdateKind::kDelete, 14, 15, 1},
+                                     {UpdateKind::kDelete, 25, 26, 1},
+                                     {UpdateKind::kInsert, 31, 40, 1}};
+  graph::DynamicGraph shadow(config.n);
+  for (const auto& [u, v] : edges) shadow.insert_edge(u, v);
+  for (const Update& up : batch) graph::apply_update(shadow, up);
+
+  for (const bool pool : {false, true}) {
+    const auto fresh = [&] {
+      auto forest = std::make_unique<DynamicForest>(config);
+      forest->preprocess(edges);
+      if (pool) {
+        forest->cluster().set_executor(
+            std::make_shared<dmpc::ThreadPoolExecutor>(4,
+                                                       /*serial_cutoff=*/1));
+      }
+      return forest;
+    };
+    // The dispatch layout the armed calls below rely on: stage 1 runs
+    // the cascade scan (call 0) and its commit (1), stage 2 its commit
+    // (2).
+    {
+      const auto twin = fresh();
+      auto counter = std::make_shared<FaultInjector>();
+      twin->cluster().set_fault_injector(counter);
+      twin->apply_batch(batch);
+      ASSERT_EQ(counter->task_calls_observed(), 3u);
+      ASSERT_EQ(twin->batch_stats().stages, 2u);
+    }
+    const auto forest = fresh();
+    auto faults = std::make_shared<FaultInjector>();
+    forest->cluster().set_fault_injector(faults);
+    const ForestState before = capture(*forest);
+    const auto mid = static_cast<dmpc::MachineId>(forest->num_machines() / 2);
+    for (const std::uint64_t call : {1u, 2u}) {
+      faults->fail_in_task(call, mid);
+      EXPECT_THROW(forest->apply_batch(batch), dmpc::InjectedFault);
+      ASSERT_TRUE(faults->fired());
+      std::string why;
+      ASSERT_TRUE(forest->validate(&why))
+          << "after a fault in commit dispatch " << call << ": " << why;
+      ASSERT_EQ(capture(*forest), before) << "commit dispatch " << call;
+    }
+    forest->apply_batch(batch);
+    std::string why;
+    ASSERT_TRUE(forest->validate(&why)) << why;
+    EXPECT_EQ(forest->component_snapshot(),
+              oracle::connected_components(shadow));
+  }
+}
+
 // Serial (non-batch) insert/erase journal and roll back too.
 TEST(FaultSweep, SerialEraseRollsBack) {
   DynamicForest forest(DynForestConfig{.n = 12, .m_cap = 48});
